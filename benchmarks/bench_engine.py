@@ -20,9 +20,9 @@ The run doubles as an equivalence suite:
   SQLite and callable source backends and asserts that every strategy
   returns identical answers *and access counts* on all three;
 * a concurrency-equivalence pass runs the distillation strategy with
-  ``concurrency="real"`` (actual thread-pool accesses against a
-  latency-injecting callable backend) and asserts its answers match the
-  deterministic simulation's;
+  ``concurrency="async"`` (accesses overlapping on the event loop against
+  a latency-injecting callable backend) and asserts its answers and access
+  count match the deterministic simulation's;
 * a multi-query throughput pass replays a mixed scenario stream over one
   engine session, sequentially and with ``Engine.execute_many``
   concurrency, reporting QPS and the session meta-cache hit rate and
@@ -100,7 +100,7 @@ ACCESS_LATENCY = 0.01
 #: Completed accesses between incremental answer checks (distillation).
 ANSWER_CHECK_INTERVAL = 25
 
-#: Real injected latency per lookup in the real-concurrency pass; small
+#: Real injected latency per lookup in the async-concurrency pass; small
 #: enough to keep the run fast, large enough that overlap is measurable.
 REAL_BACKEND_LATENCY = 0.002
 
@@ -175,8 +175,9 @@ def bench_backends(example: Example) -> Dict[str, object]:
     return entry
 
 
-def bench_real_concurrency(example: Example) -> Dict[str, object]:
-    """Real thread-pool distillation vs the simulation: identical answers."""
+def bench_async_concurrency(example: Example) -> Dict[str, object]:
+    """Async distillation over a slow callable backend vs the simulation:
+    identical answers and access counts."""
     with Engine(example.schema, example.instance) as sim_engine:
         simulated = sim_engine.execute(
             example.query_text, strategy="distillation", share_session_cache=False
@@ -190,12 +191,15 @@ def bench_real_concurrency(example: Example) -> Dict[str, object]:
             example.query_text,
             strategy="distillation",
             share_session_cache=False,
-            concurrency="real",
-            max_workers=8,
+            concurrency="async",
         )
         wall = time.perf_counter() - started
     assert result.answers == simulated.answers == example.expected_answers, (
-        f"real-concurrency distillation diverged from the simulation on {example.name}"
+        f"async distillation diverged from the simulation on {example.name}"
+    )
+    assert result.total_accesses == simulated.total_accesses, (
+        f"async distillation performed {result.total_accesses} accesses, "
+        f"the simulation {simulated.total_accesses}, on {example.name}"
     )
     raw = result.raw
     return {
@@ -439,19 +443,17 @@ ASYNC_IN_FLIGHT_LIMITS = (8, 64, 512)
 
 
 def bench_async_dispatch(smoke: bool) -> Dict[str, object]:
-    """Async vs thread-pool vs simulated dispatch over a real HTTP source.
+    """Async vs simulated dispatch over a real HTTP source.
 
     Serves the star and chaos instances from the loopback fixture server
     with 2ms per-lookup latency, then runs the distillation strategy
-    through all three dispatchers: the sequential simulated dispatcher
-    (every lookup is a blocking round trip), the real thread pool (one
-    batch per relation in flight), and the asyncio dispatcher at a sweep
-    of ``max_in_flight`` bounds.  Every run is asserted equivalent to the
+    through both dispatch modes: the simulated dispatcher (every lookup is
+    a blocking round trip) and the asyncio dispatcher at a sweep of
+    ``max_in_flight`` bounds.  Every run is asserted equivalent to the
     in-memory simulation — same answers, same access count — so the sweep
     doubles as a transport/dispatcher equivalence pass.  The full run
     asserts that the async dispatcher genuinely sustains >=512 in-flight
-    accesses on the star workload and beats the thread pool's wall clock
-    at that bound.
+    accesses on the star workload.
     """
     examples = (
         [star_example(rays=3, width=40), chaos_example(width=6, rays=2)]
@@ -496,7 +498,6 @@ def bench_async_dispatch(smoke: bool) -> Dict[str, object]:
                 return result, wall
 
             _, simulated_wall = run()
-            _, threads_wall = run(concurrency="real", max_workers=limits[-1])
             async_runs: Dict[str, object] = {}
             for limit in limits:
                 result, wall = run(concurrency="async", max_in_flight=limit)
@@ -507,10 +508,6 @@ def bench_async_dispatch(smoke: bool) -> Dict[str, object]:
         record: Dict[str, object] = {
             "accesses": baseline.total_accesses,
             "simulated": {"wall_seconds": round(simulated_wall, 6)},
-            "thread_pool": {
-                "wall_seconds": round(threads_wall, 6),
-                "max_workers": limits[-1],
-            },
             "async": async_runs,
         }
         top = async_runs[f"in_flight_{limits[-1]}"]
@@ -519,11 +516,6 @@ def bench_async_dispatch(smoke: bool) -> Dict[str, object]:
                 f"async dispatcher peaked at {top['peak_in_flight']} in-flight "  # type: ignore[index]
                 f"accesses on {example.name}; expected >= 512"
             )
-            assert top["wall_seconds"] < threads_wall, (  # type: ignore[index]
-                f"async dispatcher ({top['wall_seconds']}s) did not beat the "  # type: ignore[index]
-                f"thread pool ({threads_wall:.3f}s) on {example.name}"
-            )
-            record["async_beats_thread_pool"] = True
         record["speedup_vs_simulated"] = round(
             simulated_wall / top["wall_seconds"], 3  # type: ignore[operator]
         )
@@ -1029,14 +1021,15 @@ def main(argv: List[str] | None = None) -> int:
         )
 
     # Equivalence passes: one moderate workload across all backends, and the
-    # real-concurrency dispatcher against a slow callable backend.
+    # async dispatcher against a slow callable backend.
     backend_entry = bench_backends(star_example(rays=3, width=8))
     print(f"backend equivalence on {backend_entry['workload']}: ok ({', '.join(BACKENDS)})")
-    real_entry = bench_real_concurrency(star_example(rays=4, width=10))
+    concurrency_entry = bench_async_concurrency(star_example(rays=4, width=10))
     print(
-        f"real concurrency on {real_entry['workload']}: "
-        f"{real_entry['accesses']} accesses, makespan {real_entry['makespan_seconds']}s, "
-        f"speedup {real_entry['parallel_speedup']}x"
+        f"async concurrency on {concurrency_entry['workload']}: "
+        f"{concurrency_entry['accesses']} accesses, "
+        f"makespan {concurrency_entry['makespan_seconds']}s, "
+        f"speedup {concurrency_entry['parallel_speedup']}x"
     )
     async_entry = bench_async_dispatch(args.smoke)
     for name, record in async_entry["workloads"].items():  # type: ignore[union-attr]
@@ -1045,7 +1038,6 @@ def main(argv: List[str] | None = None) -> int:
         print(
             f"async dispatch on {name}: {record['accesses']} accesses over HTTP — "
             f"simulated {record['simulated']['wall_seconds']}s, "
-            f"threads {record['thread_pool']['wall_seconds']}s, "
             f"async@{top_limit} {top['wall_seconds']}s "
             f"(peak in flight {top['peak_in_flight']}, "
             f"{record['speedup_vs_simulated']}x vs simulated)"
@@ -1143,13 +1135,13 @@ def main(argv: List[str] | None = None) -> int:
         "description": (
             "naive vs fast_fail vs distillation accesses/wall/simulated latency "
             "on chain, wide-fanout, star, diamond, skewed-fanout and cycle "
-            "topologies, plus backend and real-concurrency equivalence passes"
+            "topologies, plus backend and async-concurrency equivalence passes"
         ),
         "access_latency": ACCESS_LATENCY,
         "answer_check_interval": ANSWER_CHECK_INTERVAL,
         "results": results,
         "backend_equivalence": backend_entry,
-        "real_concurrency": real_entry,
+        "async_concurrency": concurrency_entry,
         "async_dispatch": async_entry,
         "workload_throughput": throughput_entry,
         "optimizer": optimizer_entry,

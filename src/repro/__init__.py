@@ -31,9 +31,9 @@ from repro.engine import (
 from repro.exceptions import ReproError
 from repro.model.instance import DatabaseInstance
 from repro.model.schema import RelationSchema, Schema
-from repro.plan.parallel import StreamedAnswer
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.parser import parse_query
+from repro.runtime.kernel import StreamedAnswer
 from repro.sources.async_backend import AsyncBackend, AsyncBackendAdapter, as_async_backend
 from repro.sources.backend import (
     CallableBackend,

@@ -4,8 +4,8 @@ The CLI drives the :class:`~repro.engine.Engine` façade end to end.  The
 schema and data come from a JSON workload file (``--workload``), the
 built-in paper example (``--example``), or a generated scenario topology
 (``--scenario``); ``--backend`` picks where accesses are answered from and
-``--concurrency real`` runs the distillation strategy over an actual
-thread pool.  ``workload`` replays a mixed multi-scenario query stream
+``--concurrency async`` overlaps the accesses of any strategy on one event
+loop.  ``workload`` replays a mixed multi-scenario query stream
 concurrently over one engine session and reports throughput::
 
     python -m repro plan --example
@@ -16,7 +16,7 @@ concurrently over one engine session and reports throughput::
     python -m repro run --workload w.json "q(X) <- r(X, Y)"
     python -m repro run --scenario star:rays=4,width=10 --backend sqlite
     python -m repro run --scenario diamond --backend callable --backend-latency 0.005 \
-        --strategy distillation --concurrency real
+        --strategy distillation --concurrency async
     python -m repro run --scenario chaos --fail rate=0.2,seed=7 --retries 2 --timeout 5
     python -m repro run --scenario adaptive --optimizer cost
     python -m repro workload --mix star,diamond,chain --repeat 2 --max-parallel 4
@@ -71,6 +71,7 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine import Engine, available_strategies
+from repro.engine.strategy import CONCURRENCY_MODES
 from repro.examples import SCENARIOS, make_scenario, mixed_workload, running_example
 from repro.exceptions import ReproError
 from repro.model.instance import DatabaseInstance
@@ -382,13 +383,6 @@ def _command_run(args: argparse.Namespace) -> int:
     # --stream needs a streaming-capable strategy; default to distillation
     # but honor an explicit --strategy (naive/fast_fail then fail loudly).
     strategy = args.strategy or ("distillation" if args.stream else "fast_fail")
-    if args.concurrency == "real" and strategy != "distillation":
-        # 'async' applies to every strategy; only the thread pool is
-        # distillation-specific.
-        raise ReproError(
-            f"--concurrency real only applies to the distillation strategy, "
-            f"not {strategy!r}; pass --strategy distillation"
-        )
     engine, query = _build_engine(args)
     resilience = _resilience_overrides(args)
     with engine:
@@ -399,7 +393,6 @@ def _command_run(args: argparse.Namespace) -> int:
                 strategy=strategy,
                 answer_check_interval=1,
                 concurrency=args.concurrency,
-                max_workers=args.max_workers,
                 max_in_flight=args.max_in_flight,
                 optimizer=args.optimizer,
                 **resilience,
@@ -428,7 +421,6 @@ def _command_run(args: argparse.Namespace) -> int:
         result = prepared.execute(
             strategy=strategy,
             concurrency=args.concurrency,
-            max_workers=args.max_workers,
             max_in_flight=args.max_in_flight,
             optimizer=args.optimizer,
             **resilience,
@@ -715,19 +707,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--concurrency",
-        choices=("simulated", "real", "async"),
+        choices=CONCURRENCY_MODES,
         default="simulated",
         help=(
-            "access dispatch mode: deterministic simulation (default), "
-            "actual thread-pool accesses (distillation only), or asyncio "
-            "tasks on one event loop (any strategy)"
+            "access dispatch mode: deterministic simulation (default) or "
+            "asyncio tasks on one event loop"
         ),
-    )
-    run_parser.add_argument(
-        "--max-workers",
-        type=int,
-        default=8,
-        help="thread-pool size for --concurrency real (default: 8)",
     )
     run_parser.add_argument(
         "--max-in-flight",
@@ -786,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_argument(workload_parser)
     workload_parser.add_argument(
         "--concurrency",
-        choices=("simulated", "real", "async"),
+        choices=CONCURRENCY_MODES,
         default="simulated",
         help=(
             "per-query dispatch mode; 'async' additionally runs the whole "
@@ -855,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_front_parser.add_argument(
         "--concurrency",
-        choices=("simulated", "async"),
+        choices=CONCURRENCY_MODES,
         default="async",
         help=(
             "default dispatch mode per query; 'async' (default) overlaps "

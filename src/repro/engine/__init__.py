@@ -16,7 +16,8 @@ This package is *the* supported API surface of the library::
   all strategies;
 * :class:`~repro.engine.strategy.ExecutionStrategy` and
   :func:`~repro.engine.strategy.register_strategy` — the extension point
-  for new execution backends;
+  for new execution backends; the built-in strategies are
+  :class:`~repro.engine.runner.KernelStrategy` records;
 * :class:`~repro.engine.explain.Explanation` — the structured output of
   the ``explain()`` pipeline.
 """
@@ -35,21 +36,15 @@ from repro.engine.strategy import (
 )
 
 # Importing the module registers the built-in strategies.
-from repro.engine.strategies import (  # noqa: F401  (registration side effect)
-    DistillationStrategy,
-    FastFailStrategy,
-    NaiveStrategy,
-)
+from repro.engine.runner import KernelStrategy
 
 __all__ = [
-    "DistillationStrategy",
     "Engine",
     "EngineSession",
     "ExecuteOptions",
     "ExecutionStrategy",
     "Explanation",
-    "FastFailStrategy",
-    "NaiveStrategy",
+    "KernelStrategy",
     "PreparedPlan",
     "Result",
     "SourceBreakdown",

@@ -34,9 +34,9 @@ from repro.model.instance import DatabaseInstance
 from repro.model.schema import Schema
 from repro.optimizer.stats import StatisticsCollector
 from repro.plan.minimal import MinimalPlanGenerator
-from repro.plan.parallel import StreamedAnswer
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.parser import parse_query
+from repro.runtime.kernel import StreamedAnswer
 from repro.runtime.profile import KernelProfile
 from repro.sources.backend import BackendLike
 from repro.sources.cache import CacheDatabase, MetaCache

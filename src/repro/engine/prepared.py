@@ -9,21 +9,19 @@ from typing import TYPE_CHECKING, AsyncIterator, Iterator, Optional
 
 from repro.datalog.program import DatalogProgram
 from repro.engine.explain import Explanation, build_explanation
-from repro.engine.result import Result
+from repro.engine.result import Result, Termination
 from repro.engine.strategy import (
     ExecuteOptions,
     StrategyLike,
     async_unsupported,
-    real_concurrency_unsupported,
     resolve_strategy,
     streaming_unsupported,
 )
-from repro.engine.result import Termination
 from repro.exceptions import ReproError
-from repro.plan.parallel import StreamedAnswer
 from repro.plan.plan import QueryPlan
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.minimize import canonical_form
+from repro.runtime.kernel import StreamedAnswer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import Engine
@@ -42,6 +40,9 @@ class PreparedPlan:
     engine: "Engine"
     query: ConjunctiveQuery
     plan: QueryPlan
+    # The three ``last_*`` attributes are written only by the runner's
+    # shaper (:mod:`repro.engine.runner`), when a built-in strategy's run
+    # produces an outcome.
     #: The cost-based optimizer's report of the most recent execution
     #: (None before any run, and after runs with the structural order).
     last_optimizer_report: Optional[object] = None
@@ -51,7 +52,7 @@ class PreparedPlan:
     #: The normalized :class:`~repro.engine.result.Result` of the most recent
     #: *streaming* execution, shaped after the stream is exhausted (None
     #: before any stream, and when the consumer abandoned the stream before
-    #: the executor produced an outcome).  Servers streaming answers over a
+    #: the kernel produced an outcome).  Servers streaming answers over a
     #: wire read it to append an honest completeness trailer.
     last_stream_result: Optional[Result] = None
     #: Lazily computed canonical key for the query-result cache tier.
@@ -119,8 +120,6 @@ class PreparedPlan:
         store = self.engine.session.store
         use_result_cache = store.result_cache and self.plan.answerable
         try:
-            if opts.concurrency == "real" and not resolved.supports_real_concurrency:
-                raise real_concurrency_unsupported(resolved.name)
             if use_result_cache:
                 started = time.perf_counter()
                 cached = store.lookup_result(self.result_key())
@@ -147,8 +146,8 @@ class PreparedPlan:
         """:meth:`execute` on the caller's event loop.
 
         With ``concurrency="async"`` the strategy's accesses run as asyncio
-        tasks; any other concurrency mode is stepped inline by the kernel's
-        async driver, so every strategy/mode combination is awaitable.
+        tasks; ``"simulated"`` runs are stepped inline by the kernel's async
+        driver, so every strategy/mode combination is awaitable.
         Shares the result-cache tier with the sync path.
         """
         resolved = resolve_strategy(strategy)
@@ -158,8 +157,6 @@ class PreparedPlan:
         try:
             if not resolved.supports_async:
                 raise async_unsupported(resolved.name)
-            if opts.concurrency == "real" and not resolved.supports_real_concurrency:
-                raise real_concurrency_unsupported(resolved.name)
             if use_result_cache:
                 started = time.perf_counter()
                 cached = store.lookup_result(self.result_key())
@@ -192,8 +189,6 @@ class PreparedPlan:
             if not resolved.supports_streaming:
                 raise streaming_unsupported(resolved.name)
             opts = self._options(options, overrides)
-            if opts.concurrency == "real" and not resolved.supports_real_concurrency:
-                raise real_concurrency_unsupported(resolved.name)
         except ReproError as error:
             raise error.with_context(query=self.query, plan=self.plan)
         return self._stream(resolved, opts)
@@ -222,8 +217,6 @@ class PreparedPlan:
             if not resolved.supports_async:
                 raise async_unsupported(resolved.name)
             opts = self._options(options, overrides)
-            if opts.concurrency == "real" and not resolved.supports_real_concurrency:
-                raise real_concurrency_unsupported(resolved.name)
         except ReproError as error:
             raise error.with_context(query=self.query, plan=self.plan)
         return self._astream(resolved, opts)

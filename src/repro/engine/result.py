@@ -1,12 +1,11 @@
 """The shared result type returned by every execution strategy.
 
-The three strategies of the seed each had their own result class with
-different fields (:class:`~repro.plan.naive.NaiveEvaluationResult`,
-:class:`~repro.plan.execution.ExecutionResult`,
-:class:`~repro.plan.parallel.DistillationResult`).  The engine normalizes
-them into one :class:`Result` so that callers — and the cross-strategy
-equivalence tests — can compare executions without caring which backend
-produced them.  The strategy-specific result stays available as ``raw``.
+Every built-in strategy runs on the one fixpoint kernel, and the engine's
+runner (:mod:`repro.engine.runner`) shapes the kernel's
+:class:`~repro.runtime.kernel.KernelOutcome` into one :class:`Result`, so
+callers — and the cross-strategy equivalence tests — can compare
+executions without caring which strategy produced them.  The outcome
+itself stays available as ``raw``.
 """
 
 from __future__ import annotations
@@ -74,8 +73,10 @@ class Result:
         retry_stats: resilience accounting of the execution (attempts,
             retries, failures, breaker trips, refunds, backoff).
         access_log: the ordered record of this execution's accesses.
-        raw: the strategy-specific result object, for callers that need the
-            full detail (e.g. the naive value pool or the answer times).
+        raw: the run's :class:`~repro.runtime.kernel.KernelOutcome`, for
+            callers that need the full detail (answer times, the kernel's
+            total and sequential time, ``parallel_speedup``); None for
+            result-cache hits and for custom strategies that set none.
         optimizer_report: the cost-based optimizer's account of the run
             (chosen order, estimated vs. actual cardinalities, re-planning
             events); None when the structural order was used.

@@ -32,8 +32,8 @@ from typing import (
     Union,
 )
 
-from repro.exceptions import StrategyError
-from repro.plan.parallel import StreamedAnswer
+from repro.exceptions import ExecutionError, StrategyError
+from repro.runtime.kernel import StreamedAnswer
 from repro.sources.resilience import BreakerConfig, ResilienceConfig, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,11 +41,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.result import Result
 
 
+#: The dispatch modes every strategy accepts (``ExecuteOptions.concurrency``).
+CONCURRENCY_MODES = ("simulated", "async")
+
+
 @dataclass(frozen=True)
 class ExecuteOptions:
     """Tuning knobs shared by all execution strategies.
 
-    Strategy adapters read the subset that applies to them and ignore the
+    Each strategy reads the subset that applies to it and ignores the
     rest, so one options object can be reused across strategies.
 
     Attributes:
@@ -64,15 +68,17 @@ class ExecuteOptions:
             finest streaming granularity.
         respect_ordering: dispatch accesses position by position instead of
             eagerly (distillation strategy).
-        concurrency: ``"simulated"`` runs the distillation strategy as the
-            deterministic discrete-event simulation; ``"real"`` dispatches
-            accesses to the source backends over an actual thread pool
-            (distillation only); ``"async"`` dispatches them as asyncio
-            tasks on one event loop — every strategy supports it, and the
-            engine's ``aexecute``/``aexecute_many`` entry points use it to
-            overlap whole queries.  Answers are identical between the
-            modes; only the clocks differ.
-        max_workers: thread-pool size for ``concurrency="real"``.
+        concurrency: one of :data:`CONCURRENCY_MODES`.  ``"simulated"``
+            runs the strategy on its deterministic simulated clock (back
+            to back for naive/fast_fail, the discrete-event simulation of
+            parallel wrappers for distillation); ``"async"`` dispatches the
+            accesses to the source backends as asyncio tasks on one event
+            loop, so slow sources genuinely overlap — every strategy
+            supports it, and the engine's ``aexecute``/``aexecute_many``
+            entry points use it to overlap whole queries.  Answers and
+            access counts are identical between the modes; only the clocks
+            differ.  Any other value raises
+            :class:`~repro.exceptions.ExecutionError`.
         max_in_flight: bound on simultaneously in-flight source accesses
             for ``concurrency="async"``.
         retry: retry accesses that fail transiently, with exponential
@@ -101,12 +107,18 @@ class ExecuteOptions:
     answer_check_interval: int = 1
     respect_ordering: bool = False
     concurrency: str = "simulated"
-    max_workers: int = 8
     max_in_flight: int = 64
     retry: Optional[RetryPolicy] = None
     timeout: Optional[float] = None
     breaker: Optional[BreakerConfig] = None
     optimizer: str = "structural"
+
+    def __post_init__(self) -> None:
+        if self.concurrency not in CONCURRENCY_MODES:
+            raise ExecutionError(
+                f"unknown concurrency mode {self.concurrency!r}; "
+                f"use one of {', '.join(map(repr, CONCURRENCY_MODES))}"
+            )
 
     def override(self, **changes: object) -> "ExecuteOptions":
         """Return a copy with the given fields replaced."""
@@ -132,16 +144,6 @@ def streaming_unsupported(name: str, *, plan: object = None) -> StrategyError:
     )
 
 
-def real_concurrency_unsupported(name: str, *, plan: object = None) -> StrategyError:
-    """The error raised when a sequential strategy is asked for real concurrency."""
-    return StrategyError(
-        f"strategy {name!r} runs its accesses sequentially and ignores "
-        "concurrency='real'; use strategy='distillation' (or any strategy with "
-        "supports_real_concurrency=True)",
-        plan=plan,
-    )
-
-
 def async_unsupported(name: str, *, plan: object = None) -> StrategyError:
     """The error raised when a strategy without an async path is awaited."""
     return StrategyError(
@@ -156,16 +158,12 @@ class ExecutionStrategy(abc.ABC):
 
     Subclasses set ``name`` (the registry key) and implement :meth:`run`;
     strategies that can produce answers incrementally also set
-    ``supports_streaming`` and implement :meth:`stream`; strategies that
-    honor ``ExecuteOptions.concurrency="real"`` (dispatching accesses over
-    an actual thread pool) set ``supports_real_concurrency`` — asking any
-    other strategy for real concurrency is an error, not a silent
-    sequential run.
+    ``supports_streaming`` and implement :meth:`stream`.  The built-in
+    strategies are :class:`~repro.engine.runner.KernelStrategy` records.
     """
 
     name: ClassVar[str] = ""
     supports_streaming: ClassVar[bool] = False
-    supports_real_concurrency: ClassVar[bool] = False
     #: True when the strategy implements :meth:`arun` (and honors
     #: ``ExecuteOptions.concurrency="async"``).
     supports_async: ClassVar[bool] = False

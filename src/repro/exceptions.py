@@ -98,10 +98,6 @@ class DatalogError(ReproError):
     """A Datalog program is malformed (e.g. an unsafe rule)."""
 
 
-class GenerationError(ReproError):
-    """A synthetic workload could not be generated with the given settings."""
-
-
 class EngineError(ReproError):
     """A failure at the :mod:`repro.engine` façade boundary.
 

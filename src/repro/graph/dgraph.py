@@ -125,13 +125,6 @@ class Source:
     def input_nodes(self) -> Tuple[Node, ...]:
         return tuple(node for node in self.nodes if node.is_input)
 
-    @property
-    def output_nodes(self) -> Tuple[Node, ...]:
-        return tuple(node for node in self.nodes if node.is_output)
-
-    def node_at(self, position: int) -> Node:
-        return self.nodes[position]
-
     def __str__(self) -> str:
         return self.source_id
 
@@ -199,9 +192,6 @@ class DependencyGraph:
     def out_arcs(self, node: Node) -> FrozenSet[Arc]:
         """``outArcs(u, G)``: arcs leaving any node in the same source as ``u``."""
         return self._out_arcs_by_source.get(node.source_id, frozenset())
-
-    def out_arcs_of_source(self, source_id: str) -> FrozenSet[Arc]:
-        return self._out_arcs_by_source.get(source_id, frozenset())
 
     def arcs_into(self, node: Node) -> FrozenSet[Arc]:
         """Arcs whose head is exactly ``node``."""

@@ -161,11 +161,6 @@ class Schema:
             extended.add(relation)
         return extended
 
-    def restricted_to(self, names: Iterable[str]) -> "Schema":
-        """Return a new schema containing only the named relations."""
-        wanted = set(names)
-        return Schema(relation for name, relation in self._relations.items() if name in wanted)
-
     # -- mapping interface ---------------------------------------------------
     def __contains__(self, name: str) -> bool:
         return name in self._relations
@@ -199,28 +194,12 @@ class Schema:
     def relations(self) -> List[RelationSchema]:
         return list(self._relations.values())
 
-    def free_relations(self) -> List[RelationSchema]:
-        """Relations with no input arguments."""
-        return [relation for relation in self if relation.is_free]
-
-    def limited_relations(self) -> List[RelationSchema]:
-        """Relations with at least one input argument."""
-        return [relation for relation in self if not relation.is_free]
-
     def domains(self) -> Set[AbstractDomain]:
         """All abstract domains mentioned by some relation of the schema."""
         found: Set[AbstractDomain] = set()
         for relation in self:
             found.update(relation.domains)
         return found
-
-    def relations_with_input_domain(self, domain_: AbstractDomain) -> List[RelationSchema]:
-        """Relations having at least one input argument over ``domain_``."""
-        return [relation for relation in self if domain_ in relation.input_domains]
-
-    def relations_with_output_domain(self, domain_: AbstractDomain) -> List[RelationSchema]:
-        """Relations having at least one output argument over ``domain_``."""
-        return [relation for relation in self if domain_ in relation.output_domains]
 
     def describe(self) -> str:
         """Multi-line human-readable description of the schema."""

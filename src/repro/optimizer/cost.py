@@ -175,9 +175,6 @@ class JoinGraph:
     def degree(self, name: str) -> int:
         return len(self._adjacency.get(name, ()))
 
-    def shared_variables(self, left: str, right: str) -> Tuple[str, ...]:
-        return self._adjacency.get(left, {}).get(right, ())
-
     def edges(self) -> Tuple[Tuple[str, str, Tuple[str, ...]], ...]:
         seen = []
         for left in self.nodes:

@@ -18,8 +18,8 @@ The construction follows Section IV of the paper:
 6. the query is rewritten over the caches and the facts of the artificial
    relations are added.
 
-The resulting plan, executed with the fast-failing strategy of
-:mod:`repro.plan.execution`, never repeats an access and stops as soon as the
+The resulting plan, executed with the fast-failing policy of
+:mod:`repro.runtime.policy`, never repeats an access and stops as soon as the
 answer is known to be empty — which is what makes it ⊂-minimal.
 """
 

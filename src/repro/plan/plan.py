@@ -14,7 +14,7 @@ predicates:
 
 The rewritten query evaluates the original body over the caches.  The
 structures below also record, for every cache, its ordering position and its
-provider specifications, which is all the fast-failing executor needs.
+provider specifications, which is all the fast-failing policy needs.
 """
 
 from __future__ import annotations
@@ -156,12 +156,6 @@ class QueryPlan:
 
     def positions(self) -> List[int]:
         return sorted({cache.position for cache in self.caches.values()})
-
-    def cache_for_source(self, source_id: str) -> CachePredicate:
-        for cache in self.caches.values():
-            if cache.source_id == source_id:
-                return cache
-        raise KeyError(f"no cache for source {source_id!r}")
 
     def accessed_relations(self) -> FrozenSet[str]:
         """Relations the plan may access (relevant, non-artificial)."""

@@ -64,10 +64,6 @@ class ConjunctiveQuery:
     def arity(self) -> int:
         return len(self.head_terms)
 
-    @property
-    def is_boolean(self) -> bool:
-        return self.arity == 0
-
     def head_variables(self) -> List[Variable]:
         return [term for term in self.head_terms if isinstance(term, Variable)]
 
@@ -91,9 +87,6 @@ class ConjunctiveQuery:
         found = atoms_constants(self.body)
         found.update(term for term in self.head_terms if isinstance(term, Constant))
         return found
-
-    def body_constants(self) -> Set[Constant]:
-        return atoms_constants(self.body)
 
     def predicates(self) -> List[str]:
         """Predicate names of the body atoms, in order and with repetitions."""
@@ -135,14 +128,6 @@ class ConjunctiveQuery:
             for term in self.body[atom_index].terms
             if isinstance(term, Variable) and term in join_vars
         )
-
-    def atoms_joined_at(self, variable: Variable) -> Set[int]:
-        """Indices of the body atoms in which ``variable`` occurs."""
-        return {
-            atom_index
-            for atom_index, atom in enumerate(self.body)
-            if variable in atom.variable_set()
-        }
 
     # -- schema interaction ---------------------------------------------------------
     def validate_against(self, schema: Schema) -> None:
@@ -228,12 +213,6 @@ class ConjunctiveQuery:
                     raise QueryError(f"head term {term} is unbound after body evaluation")
             answers.add(tuple(row))
         return frozenset(answers)
-
-    def holds_in(self, contents: Mapping[str, Iterable[Tuple[object, ...]]]) -> bool:
-        """True when the body is satisfiable over the given relation contents."""
-        from repro.query.evaluate import conjunction_is_satisfiable
-
-        return conjunction_is_satisfiable(self.body, contents)
 
     # -- rendering ------------------------------------------------------------------------
     def head_string(self) -> str:

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from repro.query.atoms import Atom
 from repro.query.substitution import Substitution
-from repro.query.terms import Constant, Term, Variable
+from repro.query.terms import Constant, Variable
 
 RelationContents = Mapping[str, Iterable[Tuple[object, ...]]]
 
@@ -149,25 +149,3 @@ def conjunction_is_satisfiable(
     for _ in evaluate_conjunction(atoms, contents):
         return True
     return False
-
-
-def project_answers(
-    atoms: Sequence[Atom],
-    head_terms: Sequence[Term],
-    contents: RelationContents,
-) -> Set[Tuple[object, ...]]:
-    """Evaluate a conjunction and project the results onto ``head_terms``."""
-    answers: Set[Tuple[object, ...]] = set()
-    for substitution in evaluate_conjunction(atoms, contents):
-        row: List[object] = []
-        ok = True
-        for term in head_terms:
-            value = substitution.apply(term)
-            if isinstance(value, Constant):
-                row.append(value.value)
-            else:
-                ok = False
-                break
-        if ok:
-            answers.add(tuple(row))
-    return answers

@@ -19,20 +19,6 @@ from repro.query.homomorphism import is_equivalent_to
 from repro.query.terms import Variable
 
 
-def is_minimal(query: ConjunctiveQuery) -> bool:
-    """True when no proper subset of the body yields an equivalent query."""
-    if len(query.body) == 1:
-        return True
-    for index in range(len(query.body)):
-        candidate_body = query.body[:index] + query.body[index + 1:]
-        if not _is_safe_body(query, candidate_body):
-            continue
-        candidate = query.with_body(candidate_body)
-        if is_equivalent_to(candidate, query):
-            return False
-    return True
-
-
 def _is_safe_body(query: ConjunctiveQuery, body: Tuple[Atom, ...]) -> bool:
     """Check that dropping atoms kept every head variable in the body."""
     remaining_variables = set()
@@ -121,10 +107,3 @@ def canonical_form(query: ConjunctiveQuery, max_exact_atoms: int = 7) -> str:
         candidates = iter([tuple(body[i] for i in order)])
     best = min(_render_atoms(core.head_terms, ordering) for ordering in candidates)
     return ";".join(best)
-
-
-def minimization_certificate(
-    original: ConjunctiveQuery, minimized: ConjunctiveQuery
-) -> Tuple[bool, int]:
-    """Return ``(equivalent, atoms_removed)`` for reporting purposes."""
-    return is_equivalent_to(original, minimized), len(original.body) - len(minimized.body)

@@ -85,20 +85,3 @@ def term_from_object(value: object) -> Term:
     if isinstance(value, str) and value and (value[0].isupper() or value[0] == "_"):
         return Variable(value)
     return Constant(value)
-
-
-def fresh_variable_factory(prefix: str = "V"):
-    """Return a callable producing fresh, never-repeating variables.
-
-    The produced names are ``<prefix>_1``, ``<prefix>_2``, ...; callers that
-    need to avoid clashes with existing variables should pick a prefix that
-    does not occur in their queries (the library uses ``_F`` internally).
-    """
-    counter = 0
-
-    def fresh() -> Variable:
-        nonlocal counter
-        counter += 1
-        return Variable(f"{prefix}_{counter}")
-
-    return fresh

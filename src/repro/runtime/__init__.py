@@ -12,27 +12,26 @@ This package is that one algorithm, factored once:
 * :class:`~repro.runtime.policy.SchedulingPolicy` — what to dispatch:
   :class:`~repro.runtime.policy.EagerAllRelations` (naive),
   :class:`~repro.runtime.policy.OrderedFastFail` (fast-failing),
-  :class:`~repro.runtime.policy.SimulatedParallel` /
-  :class:`~repro.runtime.policy.RealThreadPool` (distillation).
+  :class:`~repro.runtime.policy.SimulatedParallel` (distillation).
 * :class:`~repro.runtime.dispatch.Dispatcher` — when/how accesses run:
   :class:`~repro.runtime.dispatch.SequentialDispatcher` (one at a time on a
   cumulative simulated clock),
   :class:`~repro.runtime.dispatch.SimulatedParallelDispatcher` (the
   deterministic discrete-event simulation on a completion-event heap) and
-  :class:`~repro.runtime.dispatch.ThreadPoolDispatcher` (real concurrent
-  accesses against the backends).
+  :class:`~repro.runtime.dispatch.AsyncDispatcher` (real concurrent
+  accesses as asyncio tasks, for ``concurrency="async"``).
 
-The modules under :mod:`repro.plan` (``naive``, ``execution``,
-``parallel``) are thin adapters: they pick a policy, run the kernel, and
-shape its outcome into their historical result types.
+The engine's one runner (:mod:`repro.engine.runner`) picks a policy per
+strategy, drives the kernel, and shapes its :class:`KernelOutcome` into the
+shared :class:`~repro.engine.result.Result`.
 """
 
 from repro.runtime.dispatch import (
     AccessOutcome,
+    AsyncDispatcher,
     Dispatcher,
     SequentialDispatcher,
     SimulatedParallelDispatcher,
-    ThreadPoolDispatcher,
 )
 from repro.runtime.kernel import (
     AccessBudget,
@@ -46,7 +45,6 @@ from repro.runtime.kernel import (
 from repro.runtime.policy import (
     EagerAllRelations,
     OrderedFastFail,
-    RealThreadPool,
     SchedulingPolicy,
     SimulatedParallel,
 )
@@ -56,17 +54,16 @@ __all__ = [
     "AccessOutcome",
     "AccessRequest",
     "AnswerTracker",
+    "AsyncDispatcher",
     "Completion",
     "Dispatcher",
     "EagerAllRelations",
     "FixpointKernel",
     "KernelOutcome",
     "OrderedFastFail",
-    "RealThreadPool",
     "SchedulingPolicy",
     "SequentialDispatcher",
     "SimulatedParallel",
     "SimulatedParallelDispatcher",
     "StreamedAnswer",
-    "ThreadPoolDispatcher",
 ]

@@ -12,7 +12,7 @@ written once.  Two collaborators parameterize it:
   are absorbed;
 * a :class:`~repro.runtime.dispatch.Dispatcher` decides *when* accesses run
   and on which clock (back-to-back simulated, discrete-event simulated
-  parallel, or a real thread pool).
+  parallel, or asyncio tasks on the wall clock).
 
 The kernel itself owns the pieces every mode shares: the offer-pass
 fixpoint iteration, access-budget accounting (:class:`AccessBudget`), the
@@ -109,8 +109,8 @@ class AnswerTracker:
     Evaluates the policy's query on demand, remembers every answer's first
     derivation time, and reports which rows are new — the rows to stream.
     ``now`` is whatever clock the run's dispatcher is authoritative for
-    (the event-heap clock in simulation, the wall clock in real-concurrency
-    mode, the cumulative latency sum in sequential runs).
+    (the event-heap clock in simulation, the wall clock under async
+    dispatch, the cumulative latency sum in sequential runs).
 
     Intermediate checks use the policy's *incremental* evaluator when it
     offers one (:meth:`~repro.runtime.policy.PlanPolicy.evaluate_delta`):
@@ -161,18 +161,17 @@ class AnswerTracker:
 class AccessBudget:
     """Kernel-owned accounting of the ``max_accesses`` bound.
 
-    Every source access must be granted before it runs (sequential and
-    simulated dispatchers ask for one access at a time; the thread-pool
-    dispatcher reserves whole batches at submit time).  The budget flags
-    ``denied`` only when a request could not be granted *at all* — a
-    partially filled batch is not a denial until the remainder is asked for
-    again — which is exactly when an execution has work left it may not
-    perform.
+    Every source access must be granted before it runs (the simulated
+    dispatchers ask for one access at a time; the async dispatcher reserves
+    one grant per task at launch).  The budget flags ``denied`` only when a
+    request could not be granted *at all* — a partially filled request is
+    not a denial until the remainder is asked for again — which is exactly
+    when an execution has work left it may not perform.
 
     The monotone counters ``total_granted`` and ``refunded`` support the
     refund invariant the resilience layer is audited against: every grant
     is either consumed by a counted (logged) access or refunded — a
-    gate-served batch slot, or an access that permanently failed — so
+    gate-served task, or an access that permanently failed — so
     ``total_granted - refunded`` always equals the number of accesses
     recorded against the sources.
 
@@ -217,7 +216,8 @@ class AccessBudget:
 
 @dataclass
 class KernelOutcome:
-    """Aggregate outcome of one kernel run, shaped by the strategy adapters.
+    """Aggregate outcome of one kernel run; ``Result.raw`` of every
+    kernel-backed strategy.
 
     Attributes:
         answers: the answers derived (all of them, or the ones derived so
@@ -225,11 +225,14 @@ class KernelOutcome:
         answer_times: clock time at which each answer first derived.
         first_answer_time: clock time of the first answer (None when empty).
         total_time: the dispatcher's clock when the run finished (simulated
-            makespan, or wall-clock duration in real mode).
+            makespan, or wall-clock duration under async dispatch).
         sequential_time: what the run would have cost with every access
-            back to back (sum of per-access latencies / batch durations).
+            back to back (sum of per-access latencies / read durations).
         budget_exhausted: True when ``max_accesses`` stopped the dispatch
             loop before the fixpoint was reached.
+        failed_at_position: the ordering position at which the early
+            non-emptiness test proved the answer empty (fast-failing
+            policy only; None otherwise).
         failed_relations: relations with at least one permanently failed
             access this run (sorted); non-empty means the fixpoint may not
             have been reached and ``answers`` is a lower bound.
@@ -252,6 +255,7 @@ class KernelOutcome:
     total_time: float = 0.0
     sequential_time: float = 0.0
     budget_exhausted: bool = False
+    failed_at_position: Optional[int] = None
     failed_relations: Tuple[str, ...] = ()
     retry_stats: RetryStats = field(default_factory=RetryStats)
     replans: int = 0
@@ -264,6 +268,18 @@ class KernelOutcome:
     def source_failure(self) -> bool:
         """True when any access permanently failed during the run."""
         return bool(self.failed_relations)
+
+    @property
+    def parallel_speedup(self) -> float:
+        """Ratio between sequential and parallel execution times.
+
+        With degenerate zero-latency sources the makespan can be zero even
+        though sequential work was done: the true ratio is then infinite,
+        not ``1.0``.  Only a run with no work at all reports ``1.0``.
+        """
+        if self.total_time <= 0:
+            return float("inf") if self.sequential_time > 0 else 1.0
+        return self.sequential_time / self.total_time
 
 
 class FixpointKernel:
@@ -381,8 +397,8 @@ class FixpointKernel:
         step results into the same generator, so the two execution modes
         cannot diverge semantically.  A dispatcher exposing ``astep`` is
         awaited (the async dispatcher's tasks run between awaits); any
-        other dispatcher is stepped synchronously, so every concurrency
-        mode is reachable from the async engine API.  The outcome lands in
+        other dispatcher is stepped synchronously, so the simulated
+        dispatchers are reachable from the async engine API too.  The outcome lands in
         :attr:`last_outcome` (async generators cannot return values).
         """
         machine = self._machine()
@@ -495,6 +511,7 @@ class FixpointKernel:
             total_time=total_time,
             sequential_time=self.dispatcher.sequential_time,
             budget_exhausted=budget_exhausted,
+            failed_at_position=self.policy.failed_at,
             failed_relations=self.resilience.snapshot_failed_relations(),
             retry_stats=self.resilience.stats,
             replans=getattr(self.policy, "optimizer_replans", 0),

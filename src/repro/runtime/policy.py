@@ -11,10 +11,12 @@ policies over the same kernel:
 * :class:`OrderedFastFail` — Section IV: one phase per ordering position
   of the ⊂-minimal plan, with the early non-emptiness test between phases
   and meta-cache dedup of repeated accesses;
-* :class:`SimulatedParallel` / :class:`RealThreadPool` /
-  :class:`AsyncParallel` — Section V: every cache of the plan is offered
-  eagerly, and the policy picks the discrete-event simulation, the real
-  thread pool, or the asyncio event loop as its dispatcher.
+* :class:`SimulatedParallel` — Section V: every cache of the plan is
+  offered eagerly to the discrete-event simulation of parallel wrappers.
+
+Every policy runs either on its own simulated dispatcher
+(``concurrency="simulated"``) or on the asyncio event loop
+(``concurrency="async"``); see :meth:`SchedulingPolicy.make_dispatcher`.
 
 The plan-driven policies share the delta-driven binding generators of
 :mod:`repro.plan.bindings`: each offer pass enumerates only the bindings
@@ -34,7 +36,6 @@ from repro.runtime.dispatch import (
     Dispatcher,
     SequentialDispatcher,
     SimulatedParallelDispatcher,
-    ThreadPoolDispatcher,
 )
 from repro.runtime.kernel import AccessBudget, AccessRequest, Completion
 
@@ -68,16 +69,34 @@ class SchedulingPolicy(abc.ABC):
     #: is served locally instead of repeated.
     dedup_accesses: bool = True
 
+    #: ``"simulated"`` runs on the policy's own simulated clock; ``"async"``
+    #: dispatches every access as a task on the running event loop.
+    concurrency: str = "simulated"
+    #: In-flight task bound of an ``"async"`` run.
+    max_in_flight: int = 64
+
+    #: The ordering position at which the early non-emptiness test proved
+    #: the answer empty (fast-failing policy only).
+    failed_at: Optional[int] = None
+
     def bind_dispatcher(self, dispatcher: Dispatcher) -> None:
         """Called by the kernel once the dispatcher exists (for gating)."""
         self.dispatcher = dispatcher
         dispatcher.gate = self
 
-    @abc.abstractmethod
     def make_dispatcher(
         self, registry: "SourceRegistry", log: "AccessLog", budget: AccessBudget
     ) -> Dispatcher:
         """Build the dispatcher this policy runs on."""
+        if self.concurrency == "async":
+            return AsyncDispatcher(registry, log, budget, max_in_flight=self.max_in_flight)
+        return self.simulated_dispatcher(registry, log, budget)
+
+    @abc.abstractmethod
+    def simulated_dispatcher(
+        self, registry: "SourceRegistry", log: "AccessLog", budget: AccessBudget
+    ) -> Dispatcher:
+        """The dispatcher of a ``concurrency="simulated"`` run."""
 
     def begin(self) -> bool:
         """Enter the first phase; False aborts before any work."""
@@ -153,14 +172,12 @@ class EagerAllRelations(SchedulingPolicy):
         self,
         schema: "Schema",
         query: "ConjunctiveQuery",
-        default_latency: float = 0.0,
         optimizer: Optional["AccessOptimizer"] = None,
-        concurrency: str = "sequential",
+        concurrency: str = "simulated",
         max_in_flight: int = 64,
     ) -> None:
         self.schema = schema
         self.query = query
-        self.default_latency = default_latency
         self.optimizer = optimizer
         self.concurrency = concurrency
         self.max_in_flight = max_in_flight
@@ -173,10 +190,6 @@ class EagerAllRelations(SchedulingPolicy):
         )
         self.cache: Dict[str, Set[Row]] = {relation.name: set() for relation in schema}
         self.pool = _ValuePool()
-        #: Delta passes that enumerated at least one fresh binding (the
-        #: kernel offers after every completion, so this counts extraction
-        #: bursts rather than the seed's coarse outer rounds).
-        self.rounds = 0
         self._free_accessed: Set[str] = set()
         # One delta product per relation over the logs of its input
         # domains: each pass enumerates only the bindings not produced
@@ -193,17 +206,12 @@ class EagerAllRelations(SchedulingPolicy):
             for domain_ in domains:
                 self.pool.add(domain_, constant.value)
 
-    def make_dispatcher(
+    def simulated_dispatcher(
         self, registry: "SourceRegistry", log: "AccessLog", budget: AccessBudget
     ) -> Dispatcher:
-        if self.concurrency == "async":
-            return AsyncDispatcher(
-                registry, log, budget, max_in_flight=self.max_in_flight
-            )
-        return SequentialDispatcher(registry, log, budget, self.default_latency)
+        return SequentialDispatcher(registry, log, budget)
 
     def offer(self, emit: Emit) -> bool:
-        emitted = False
         excluded = self.dispatcher.resilience.excluded
         relations = list(self.schema)
         if self._relation_rank:
@@ -217,10 +225,7 @@ class EagerAllRelations(SchedulingPolicy):
                 # unconsumed so a half-open recovery can resume it.
                 continue
             for binding in self._fresh_bindings(relation):
-                emitted = True
                 emit(AccessRequest(relation.name, relation.name, binding))
-        if emitted:
-            self.rounds += 1
         return False  # nothing is ever served locally
 
     def _fresh_bindings(self, relation: "RelationSchema"):
@@ -397,7 +402,7 @@ class OrderedFastFail(PlanPolicy):
         fast_fail: bool = True,
         use_meta_cache: bool = True,
         optimizer: Optional["AccessOptimizer"] = None,
-        concurrency: str = "sequential",
+        concurrency: str = "simulated",
         max_in_flight: int = 64,
     ) -> None:
         super().__init__(plan, cache_db, optimizer=optimizer)
@@ -416,7 +421,6 @@ class OrderedFastFail(PlanPolicy):
         )
         self._rebuild_ranks()
         self._index = -1
-        self.failed_at: Optional[int] = None
 
     def _rebuild_ranks(self) -> None:
         self._rank: Dict[str, int] = {
@@ -425,13 +429,9 @@ class OrderedFastFail(PlanPolicy):
             for cache in group
         }
 
-    def make_dispatcher(
+    def simulated_dispatcher(
         self, registry: "SourceRegistry", log: "AccessLog", budget: AccessBudget
     ) -> Dispatcher:
-        if self.concurrency == "async":
-            return AsyncDispatcher(
-                registry, log, budget, max_in_flight=self.max_in_flight
-            )
         return SequentialDispatcher(registry, log, budget)
 
     def begin(self) -> bool:
@@ -502,7 +502,10 @@ class OrderedFastFail(PlanPolicy):
 
 class SimulatedParallel(PlanPolicy):
     """Section V: offer every cache eagerly, dispatch on the event-heap
-    simulation of parallel wrappers."""
+    simulation of parallel wrappers — or, with ``concurrency="async"``,
+    as asyncio tasks with a bounded in-flight window, where slow sources
+    genuinely overlap.  The access *set* is the plan's least fixpoint
+    either way; only the clock differs."""
 
     budget_action = "stop"
 
@@ -514,11 +517,15 @@ class SimulatedParallel(PlanPolicy):
         queue_capacity: int = 64,
         respect_ordering: bool = False,
         optimizer: Optional["AccessOptimizer"] = None,
+        concurrency: str = "simulated",
+        max_in_flight: int = 64,
     ) -> None:
         super().__init__(plan, cache_db, optimizer=optimizer)
         self.default_latency = default_latency
         self.queue_capacity = queue_capacity
         self.respect_ordering = respect_ordering
+        self.concurrency = concurrency
+        self.max_in_flight = max_in_flight
         self._refresh_order()
 
     def _refresh_order(self) -> None:
@@ -538,7 +545,7 @@ class SimulatedParallel(PlanPolicy):
                 name: rank for rank, group in enumerate(groups, start=1) for name in group
             }
 
-    def make_dispatcher(
+    def simulated_dispatcher(
         self, registry: "SourceRegistry", log: "AccessLog", budget: AccessBudget
     ) -> Dispatcher:
         return SimulatedParallelDispatcher(
@@ -576,73 +583,3 @@ class SimulatedParallel(PlanPolicy):
             if self.dispatcher.relation_active(other.relation.name):
                 return True
         return False
-
-
-class RealThreadPool(SimulatedParallel):
-    """Section V over a real thread pool: the same eager offers, but the
-    accesses genuinely overlap against the backends."""
-
-    def __init__(
-        self,
-        plan: "QueryPlan",
-        cache_db: "CacheDatabase",
-        queue_capacity: int = 64,
-        respect_ordering: bool = False,
-        max_workers: int = 8,
-        optimizer: Optional["AccessOptimizer"] = None,
-    ) -> None:
-        super().__init__(
-            plan,
-            cache_db,
-            queue_capacity=queue_capacity,
-            respect_ordering=respect_ordering,
-            optimizer=optimizer,
-        )
-        self.max_workers = max_workers
-
-    def make_dispatcher(
-        self, registry: "SourceRegistry", log: "AccessLog", budget: AccessBudget
-    ) -> Dispatcher:
-        return ThreadPoolDispatcher(
-            registry,
-            log,
-            budget,
-            self._plan_relations(),
-            max_workers=self.max_workers,
-            batch_size=self.queue_capacity,
-        )
-
-
-class AsyncParallel(SimulatedParallel):
-    """Section V on the event loop: the same eager offers, dispatched as
-    asyncio tasks with a bounded in-flight window.
-
-    The access *set* is the plan's least fixpoint either way; what changes
-    is wall clock — thousands of slow lookups overlap on one loop instead
-    of queueing behind a thread pool.  Must be driven through the kernel's
-    async entry points (``astream``/``arun``)."""
-
-    def __init__(
-        self,
-        plan: "QueryPlan",
-        cache_db: "CacheDatabase",
-        queue_capacity: int = 64,
-        respect_ordering: bool = False,
-        max_in_flight: int = 64,
-        optimizer: Optional["AccessOptimizer"] = None,
-    ) -> None:
-        super().__init__(
-            plan,
-            cache_db,
-            queue_capacity=queue_capacity,
-            respect_ordering=respect_ordering,
-            optimizer=optimizer,
-        )
-        self.max_in_flight = max_in_flight
-
-    def make_dispatcher(
-        self, registry: "SourceRegistry", log: "AccessLog", budget: AccessBudget
-    ) -> Dispatcher:
-        return AsyncDispatcher(
-            registry, log, budget, max_in_flight=self.max_in_flight
-        )

@@ -27,7 +27,6 @@ documented in :mod:`repro.serve.admission` and :meth:`QueryServer.shutdown`.
 from __future__ import annotations
 
 import asyncio
-import json
 import signal
 import threading
 import time
@@ -35,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
 from repro.engine import Engine
+from repro.engine.strategy import CONCURRENCY_MODES
 from repro.exceptions import ReproError
 from repro.serve.admission import AdmissionController, Rejection
 from repro.serve.metrics import ServerMetrics
@@ -46,9 +46,6 @@ from repro.serve.protocol import (
     response,
     stream_head,
 )
-
-_CONCURRENCY_MODES = ("async", "simulated")
-
 
 @dataclass
 class ServeConfig:
@@ -84,9 +81,9 @@ class QueryServer:
     def __init__(self, engine: Engine, config: Optional[ServeConfig] = None) -> None:
         self.engine = engine
         self.config = config or ServeConfig()
-        if self.config.concurrency not in _CONCURRENCY_MODES:
+        if self.config.concurrency not in CONCURRENCY_MODES:
             raise ReproError(
-                f"serve concurrency must be one of {_CONCURRENCY_MODES}, "
+                f"serve concurrency must be one of {CONCURRENCY_MODES}, "
                 f"got {self.config.concurrency!r}"
             )
         self.metrics = ServerMetrics()
@@ -249,9 +246,9 @@ class QueryServer:
         if not isinstance(text, str) or not text.strip():
             raise ReproError("request needs a non-empty 'query' string")
         concurrency = payload.get("concurrency", self.config.concurrency)
-        if concurrency not in _CONCURRENCY_MODES:
+        if concurrency not in CONCURRENCY_MODES:
             raise ReproError(
-                f"'concurrency' must be one of {_CONCURRENCY_MODES}, "
+                f"'concurrency' must be one of {CONCURRENCY_MODES}, "
                 f"got {concurrency!r}"
             )
         return {

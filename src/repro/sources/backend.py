@@ -16,15 +16,15 @@ relation's wrapper.  Three backends ship with the library:
 * :class:`CallableBackend` — delegates to an arbitrary function
   ``binding -> rows`` and can inject real (wall-clock) latency per lookup.
   This is the hook for future HTTP/RPC sources and the workload used to
-  exercise the real-concurrency dispatcher.
+  exercise the async dispatcher against slow sync sources.
 
 Backends are *pure readers*: they do no counting, no logging and no latency
 simulation — that bookkeeping stays in :class:`~repro.sources.wrapper.
 SourceWrapper`.  They must be safe to call from multiple threads, because
-the real-concurrency dispatcher
-(:class:`~repro.runtime.dispatch.ThreadPoolDispatcher`) issues lookups
-from a thread pool and :meth:`~repro.engine.engine.Engine.execute_many`
-runs whole queries concurrently; :class:`SQLiteBackend` serializes on an
+the async dispatcher (:class:`~repro.runtime.dispatch.AsyncDispatcher`)
+runs sync lookups on executor threads and
+:meth:`~repro.engine.engine.Engine.execute_many` runs whole queries
+concurrently; :class:`SQLiteBackend` serializes on an
 internal lock, the other two are read-only over immutable state.
 """
 
@@ -105,9 +105,9 @@ class SQLiteBackend(SourceBackend):
     break.
 
     One connection is shared across threads (``check_same_thread=False``)
-    and every statement runs under a lock, which is all the real-concurrency
-    dispatcher needs: the point of that workload is parallelism *across*
-    sources, not within one.
+    and every statement runs under a lock, which is all the async dispatcher
+    needs: the point of that workload is parallelism *across* sources, not
+    within one.
     """
 
     kind = "sqlite"
@@ -224,8 +224,7 @@ class CallableBackend(SourceBackend):
     compute rows on the fly — as long as it is thread-safe and returns the
     same rows for the same binding within a run.  ``latency`` injects a real
     ``time.sleep`` per lookup, which is how the tests and benchmarks make a
-    "slow remote source" for the real-concurrency dispatcher to parallelize
-    over.
+    "slow remote source" for the async dispatcher to parallelize over.
     """
 
     kind = "callable"

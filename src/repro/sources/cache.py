@@ -7,7 +7,7 @@ auxiliary structures:
   cache per occurrence of a relation in the query, plus one per relevant
   relation not occurring in the query), holding the tuples extracted so far;
 * **meta-caches** — one per relation, defined as the union of all the caches
-  over that relation; before accessing a relation, the executor consults the
+  over that relation; before accessing a relation, the runtime consults the
   meta-cache to check whether the access tuple was already used (possibly by
   another occurrence), in which case the extraction is read from the cache
   instead of hitting the source again;
@@ -15,12 +15,12 @@ auxiliary structures:
   tuples that are ready to be shipped to the corresponding wrapper (used by
   the distillation scheduler).
 
-Every structure here is *append-only* and indexed for the executors' hot
+Every structure here is *append-only* and indexed for the runtime's hot
 paths: cache tables maintain per-position value indexes (set + insertion
 log), so reading the distinct values at an argument position — the operation
 behind every domain-provider evaluation — is O(1) instead of a scan over all
-rows, and the logs let the executors consume only the values that appeared
-since their last visit (delta-driven binding generation, see
+rows, and the logs let the binding generators consume only the values that
+appeared since their last visit (delta-driven binding generation, see
 :mod:`repro.plan.bindings`).
 """
 
@@ -62,8 +62,8 @@ class CacheTable:
     be populated.  It maintains one value index per argument position,
     updated on insertion: a set of the distinct values seen at that position
     (for O(1) reads and membership tests) and an append-only log of the same
-    values in arrival order (so executors can read just the values added
-    since a watermark).
+    values in arrival order (so binding generators can read just the values
+    added since a watermark).
     """
 
     def __init__(
@@ -268,11 +268,6 @@ class MetaCache:
                 self._inflight.discard(binding)
                 self._cond.notify_all()
 
-    def rows_for(self, binding: Tuple[object, ...]) -> FrozenSet[Row]:
-        with self._cond:
-            rows = self._records.get(tuple(binding), touch=False)
-            return rows if rows is not None else frozenset()
-
     def lookup(self, binding: Tuple[object, ...]) -> Optional[FrozenSet[Row]]:
         """The recorded rows for a binding, or None — counting a hit."""
         with self._cond:
@@ -395,8 +390,9 @@ class AccessTable:
 
     The paper's Figure 5 structure: access tuples generated from the cache
     database wait here before being shipped to the relation's wrapper.  The
-    built-in :class:`~repro.plan.parallel.DistillationExecutor` keeps its
-    backlogs per *cache occurrence* rather than per relation (two caches
+    built-in distillation policy (:class:`~repro.runtime.policy.
+    SimulatedParallel`) keeps its backlogs per *cache occurrence* rather
+    than per relation (two caches
     over one relation may legitimately dispatch the same binding), so this
     per-relation table is the dedup-by-relation variant offered to external
     schedulers via :meth:`CacheDatabase.access_table`.  Offers are O(1): a
@@ -478,14 +474,6 @@ class CacheDatabase:
     def caches(self) -> List[CacheTable]:
         return list(self._caches.values())
 
-    def caches_at_position(self, position: int) -> List[CacheTable]:
-        return [cache for cache in self._caches.values() if cache.position == position]
-
-    def caches_of_relation(self, relation_name: str) -> List[CacheTable]:
-        return [
-            cache for cache in self._caches.values() if cache.relation.name == relation_name
-        ]
-
     # -- meta-caches ----------------------------------------------------------------
     def meta_cache(self, relation: RelationSchema) -> MetaCache:
         meta = self._meta.get(relation.name)
@@ -506,9 +494,6 @@ class CacheDatabase:
                     self._meta[relation.name] = meta
         return meta
 
-    def meta_caches(self) -> Dict[str, MetaCache]:
-        return dict(self._meta)
-
     # -- access tables ----------------------------------------------------------------
     def access_table(self, relation: RelationSchema) -> AccessTable:
         if relation.name not in self._access_tables:
@@ -519,10 +504,6 @@ class CacheDatabase:
     def contents(self) -> Dict[str, FrozenSet[Row]]:
         """Snapshot ``{cache_name: rows}`` used to evaluate queries over the caches."""
         return {name: cache.rows() for name, cache in self._caches.items()}
-
-    def extracted_rows_by_relation(self) -> Dict[str, FrozenSet[Row]]:
-        """Distinct rows extracted per source relation (via the meta-caches)."""
-        return {name: meta.all_rows() for name, meta in self._meta.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CacheDatabase({len(self._caches)} caches, {len(self._meta)} meta-caches)"

@@ -47,10 +47,6 @@ class AccessLog:
             for record in other:
                 self._record_locked(record)
 
-    def was_accessed(self, access: AccessTuple) -> bool:
-        """True when the exact (relation, binding) access was already made."""
-        return access in self._seen
-
     # -- aggregation -----------------------------------------------------------
     @property
     def total_accesses(self) -> int:
@@ -59,9 +55,6 @@ class AccessLog:
     def accesses_of(self, relation: str) -> int:
         """Number of accesses made to the given relation."""
         return sum(1 for record in self._records if record.relation == relation)
-
-    def distinct_accesses_of(self, relation: str) -> int:
-        return len({record.access for record in self._records if record.relation == relation})
 
     def rows_of(self, relation: str) -> FrozenSet[Tuple[object, ...]]:
         """Distinct rows extracted from the given relation."""
@@ -88,12 +81,6 @@ class AccessLog:
             relation: (self.accesses_of(relation), self.row_count_of(relation))
             for relation in self.accessed_relations()
         }
-
-    def total_simulated_time(self) -> float:
-        """Largest simulated completion time among the recorded accesses."""
-        if not self._records:
-            return 0.0
-        return max(record.simulated_time for record in self._records)
 
     # -- container protocol -------------------------------------------------------
     def __iter__(self) -> Iterator[AccessRecord]:

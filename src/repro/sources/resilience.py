@@ -14,8 +14,8 @@ down mid-execution:
   to the undecorated backend.
 * :class:`RetryPolicy` — bounded attempts with exponential backoff.  The
   backoff is *priced through the run's authoritative clock*: simulated
-  dispatchers charge it to the simulated clock, the real thread-pool
-  dispatcher actually sleeps.
+  dispatchers charge it to the simulated clock, the async dispatcher
+  actually sleeps.
 * :class:`CircuitBreaker` — the classic closed → open → half-open machine,
   one per relation.  After ``failure_threshold`` consecutive failures the
   breaker opens: further accesses to the relation are short-circuited (and
@@ -35,7 +35,7 @@ import enum
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import AccessError
@@ -184,10 +184,6 @@ class FaultSchedule:
         slow = rng.random() < self.slow_rate
         return tuple(faults), slow
 
-    def with_seed(self, seed: int) -> "FaultSchedule":
-        return replace(self, seed=seed)
-
-
 class FlakyBackend(SourceBackend):
     """Wraps any backend with a deterministic fault schedule.
 
@@ -327,7 +323,7 @@ class CircuitBreaker:
 
     The clock is whatever the run's dispatcher is authoritative for — the
     simulated clock of the sequential/discrete-event dispatchers, the wall
-    clock of the thread-pool dispatcher — so cool-downs are priced in the
+    clock of the async dispatcher — so cool-downs are priced in the
     same units as everything else in the run.
     """
 
@@ -492,9 +488,11 @@ class ResilienceContext:
     of killing the run, which is the new baseline semantics.
 
     ``clock`` is bound by the kernel to the dispatcher's authoritative
-    clock; ``real_sleep`` tells :meth:`perform` whether to actually sleep
-    retry backoffs (thread-pool dispatch) or merely report them for the
-    caller to charge to a simulated clock.
+    clock; ``real_sleep`` marks a wall-clock dispatcher, whose reads are
+    timed for its sequential-time accounting and whose retry backoffs are
+    really waited (:meth:`aperform`); the sync :meth:`perform` serves the
+    simulated dispatchers and only reports backoffs for the caller to
+    charge to its clock.
     """
 
     def __init__(
@@ -558,7 +556,7 @@ class ResilienceContext:
         GIL makes them safe; a stale read is the standard benign breaker
         race), stats are flushed under one lock acquisition per access,
         and reads are only timed when someone consumes the timing (a
-        configured timeout, or the thread-pool dispatcher's sequential
+        configured timeout, or a wall-clock dispatcher's sequential
         accounting).
         """
         breaker: Optional[CircuitBreaker] = None
@@ -625,8 +623,6 @@ class ResilienceContext:
                 delay = retry.delay_before(attempts) if retry is not None else 0.0
                 retries += 1
                 backoff += delay
-                if self.real_sleep and delay > 0:
-                    time.sleep(delay)
                 continue
             with self._lock:
                 self.stats.attempts += attempts

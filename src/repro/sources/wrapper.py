@@ -13,8 +13,8 @@ seed, a SQLite table answering indexed selections, or an arbitrary callable
 bookkeeping the optimization is about — counting accesses, validating
 bindings, and recording :class:`~repro.sources.access.AccessRecord` entries.
 
-Timestamps are the executors' responsibility: records are stamped with the
-``simulated_time`` the caller passes, because only the executor knows the
+Timestamps are the dispatchers' responsibility: records are stamped with the
+``simulated_time`` the caller passes, because only the dispatcher knows the
 authoritative clock (the heap-based event clock of the distillation
 scheduler, or the cumulative sequential clock of the one-at-a-time
 strategies).  The wrapper keeps no clock of its own — a per-wrapper
@@ -83,9 +83,9 @@ class SourceWrapper:
     def lookup(self, binding: Binding) -> FrozenSet[Row]:
         """Answer one binding from the backend without counting an access.
 
-        Thread-safe (delegates straight to the backend); the real-concurrency
-        dispatcher calls this from worker threads and does the counting in
-        the coordinator via :meth:`record_access`.
+        Thread-safe (delegates straight to the backend), so concurrent
+        queries may call it from several threads; the dispatcher does the
+        counting via :meth:`record_access`.
         """
         binding = tuple(binding)
         validate_binding(self.schema, binding)
@@ -107,7 +107,7 @@ class SourceWrapper:
         loop; a sync one is adapted onto ``executor`` (or the loop's
         default pool) so it never blocks the loop.  Same validation, same
         rows, no counting — the async dispatcher's coordinator counts via
-        :meth:`record_access`, exactly like the thread-pool dispatcher.
+        :meth:`record_access`.
         """
         from repro.sources.async_backend import as_async_backend
 
@@ -125,7 +125,7 @@ class SourceWrapper:
     ) -> None:
         """Count one performed access and, when a log is supplied, record it.
 
-        ``simulated_time`` is the executor's authoritative clock at the
+        ``simulated_time`` is the dispatcher's authoritative clock at the
         access's completion — the event-heap clock for the distillation
         scheduler, the cumulative latency sum for the sequential strategies.
         """
@@ -185,7 +185,7 @@ class SourceWrapper:
 class SourceRegistry:
     """The set of wrappers over a database instance.
 
-    The registry is the single entry point the executors use to reach the
+    The registry is the single entry point the runtime uses to reach the
     sources.  ``backend`` selects how every wrapper answers its accesses: a
     kind name from :data:`~repro.sources.backend.BACKEND_KINDS` (``memory``,
     ``sqlite``, ``callable``) or a factory ``RelationInstance ->
@@ -237,7 +237,7 @@ class SourceRegistry:
 
         Wrappers that declare no latency (zero or negative) — and relations
         without a wrapper — are charged ``default``, the same substitution
-        the executors apply, so every caller prices an access identically.
+        the dispatchers apply, so every caller prices an access identically.
         """
         wrapper = self._wrappers.get(relation_name)
         if wrapper is None or wrapper.latency <= 0:
@@ -289,9 +289,6 @@ class SourceRegistry:
     def reset_counters(self) -> None:
         for wrapper in self._wrappers.values():
             wrapper.reset_counters()
-
-    def total_access_count(self) -> int:
-        return sum(wrapper.access_count for wrapper in self._wrappers.values())
 
     def close(self) -> None:
         """Close every wrapper's backend (e.g. SQLite connections).

@@ -7,7 +7,7 @@ import pytest
 
 from repro import Engine
 from repro.examples import Example, chain_example, diamond_example, star_example
-from repro.exceptions import AccessError, ExecutionError, StrategyError
+from repro.exceptions import AccessError, ExecutionError
 from repro.sources.backend import (
     BACKEND_KINDS,
     CallableBackend,
@@ -145,7 +145,7 @@ def test_backends_agree_on_answers_and_access_counts(kind: str, strategy: str) -
     } == {(b.relation, b.accesses) for b in reference.per_source}
 
 
-# -- real-concurrency dispatch --------------------------------------------------
+# -- real (wall-clock) concurrency: async dispatch over a callable backend -------
 
 
 def test_real_concurrency_matches_simulated_answers() -> None:
@@ -158,16 +158,16 @@ def test_real_concurrency_matches_simulated_answers() -> None:
         example.query_text,
         strategy="distillation",
         share_session_cache=False,
-        concurrency="real",
-        max_workers=4,
+        concurrency="async",
+        max_in_flight=4,
     )
     assert real.answers == simulated.answers == example.expected_answers
-    assert real.total_accesses > 0
+    assert real.total_accesses == simulated.total_accesses
     assert real.raw.total_time > 0
 
 
 def test_real_concurrency_overlaps_slow_sources() -> None:
-    # Four independent spokes, each behind a 5 ms source: the thread pool
+    # Four independent spokes, each behind a 5 ms source: async dispatch
     # must overlap them, so the makespan stays well under the sequential sum.
     example = star_example(rays=4, width=6)
     registry = SourceRegistry(example.instance, backend="callable", real_latency=0.005)
@@ -175,8 +175,8 @@ def test_real_concurrency_overlaps_slow_sources() -> None:
         example.query_text,
         strategy="distillation",
         share_session_cache=False,
-        concurrency="real",
-        max_workers=8,
+        concurrency="async",
+        max_in_flight=8,
     )
     assert result.answers == example.expected_answers
     assert result.raw.parallel_speedup > 1.5
@@ -188,7 +188,7 @@ def test_real_concurrency_streams_answers() -> None:
     engine = Engine(example.schema, registry)
     streamed = list(
         engine.stream(
-            example.query_text, concurrency="real", answer_check_interval=1
+            example.query_text, concurrency="async", answer_check_interval=1
         )
     )
     assert {answer.row for answer in streamed} == example.expected_answers
@@ -203,30 +203,20 @@ def test_real_concurrency_respects_access_budget() -> None:
         example.query_text,
         strategy="distillation",
         share_session_cache=False,
-        concurrency="real",
+        concurrency="async",
         max_accesses=5,
     )
     assert result.budget_exhausted
     assert result.total_accesses <= 5
 
 
-def test_unknown_concurrency_mode_is_rejected() -> None:
+@pytest.mark.parametrize("strategy", ["naive", "fast_fail", "distillation"])
+def test_unknown_concurrency_mode_is_rejected(strategy: str) -> None:
+    # No strategy may silently run an unknown mode sequentially.
     example = star_example(rays=2, width=3)
     engine = Engine(example.schema, example.instance)
     with pytest.raises(ExecutionError):
-        engine.execute(
-            example.query_text, strategy="distillation", concurrency="warp-drive"
-        )
-
-
-@pytest.mark.parametrize("strategy", ["naive", "fast_fail"])
-def test_sequential_strategies_reject_real_concurrency(strategy: str) -> None:
-    # A sequential strategy must not silently ignore concurrency="real" —
-    # the caller would believe their accesses overlapped on a thread pool.
-    example = star_example(rays=2, width=3)
-    engine = Engine(example.schema, example.instance)
-    with pytest.raises(StrategyError):
-        engine.execute(example.query_text, strategy=strategy, concurrency="real")
+        engine.execute(example.query_text, strategy=strategy, concurrency="warp-drive")
 
 
 # -- sessions over non-memory backends ------------------------------------------

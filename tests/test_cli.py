@@ -102,30 +102,6 @@ def test_run_scenario_with_backend(capsys) -> None:
     assert len(payload["answers"]) == 4
 
 
-def test_run_real_concurrency_distillation(capsys) -> None:
-    assert main(
-        [
-            "run",
-            "--scenario",
-            "diamond:width=4",
-            "--backend",
-            "callable",
-            "--strategy",
-            "distillation",
-            "--concurrency",
-            "real",
-            "--json",
-        ]
-    ) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert len(payload["answers"]) == 4
-
-
-def test_real_concurrency_rejected_for_sequential_strategies(capsys) -> None:
-    assert main(["run", "--example", "--concurrency", "real"]) == 2
-    assert "distillation" in capsys.readouterr().err
-
-
 def test_unknown_scenario_is_a_clean_error(capsys) -> None:
     assert main(["run", "--scenario", "moebius"]) == 2
     assert "unknown scenario" in capsys.readouterr().err

@@ -12,22 +12,17 @@ import pytest
 from repro import Engine
 from repro.examples import chain_example
 from repro.model.schema import RelationSchema
-from repro.plan.parallel import DistillationResult
-from repro.runtime import AccessBudget
+from repro.runtime import AccessBudget, KernelOutcome
 from repro.sources.cache import MetaCache
-from repro.sources.log import AccessLog
 
 
-# -- DistillationResult.parallel_speedup ---------------------------------------
+# -- KernelOutcome.parallel_speedup ---------------------------------------------
 
 
-def _result(total_time: float, sequential_time: float) -> DistillationResult:
-    return DistillationResult(
+def _result(total_time: float, sequential_time: float) -> KernelOutcome:
+    return KernelOutcome(
         answers=frozenset(),
-        access_log=AccessLog(),
         total_time=total_time,
-        time_to_first_answer=None,
-        answer_times={},
         sequential_time=sequential_time,
     )
 
@@ -130,21 +125,27 @@ def test_abandoned_claim_hands_ownership_to_a_waiter() -> None:
 
 
 def test_all_strategies_share_one_kernel() -> None:
-    # The three executor modules are adapters: none of them carries a
-    # fixpoint or dispatch loop of its own anymore.
+    # Every built-in strategy is one record run by the engine's runner,
+    # which carries no fixpoint or dispatch loop of its own.
     import inspect
 
-    from repro.plan import execution, naive, parallel
+    from repro.engine import KernelStrategy, resolve_strategy, runner
     from repro.runtime import kernel
 
-    for module in (naive, execution, parallel):
-        source = inspect.getsource(module)
-        # No event heap, no thread pool, no binding enumeration: the
-        # adapters only configure the kernel and shape its outcome.
-        assert "heapq" not in source, module.__name__
-        assert "ThreadPoolExecutor" not in source, module.__name__
-        assert "fresh_bindings" not in source, module.__name__
-        assert "FixpointKernel" in source, module.__name__
+    chain = chain_example()
+    with Engine(chain.schema, chain.instance) as engine:
+        for name in ("naive", "fast_fail", "distillation"):
+            assert type(resolve_strategy(name)) is KernelStrategy, name
+            # The result carries the kernel's own outcome, not a reshaped copy.
+            result = engine.execute(chain.query_text, strategy=name)
+            assert isinstance(result.raw, KernelOutcome), name
+    source = inspect.getsource(runner)
+    # No event heap, no thread pool, no binding enumeration: the runner
+    # only configures the kernel and shapes its outcome.
+    assert "heapq" not in source
+    assert "ThreadPoolExecutor" not in source
+    assert "fresh_bindings" not in source
+    assert "FixpointKernel" in source
     assert "_offer_fixpoint" in inspect.getsource(kernel)
 
 

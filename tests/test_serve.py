@@ -33,7 +33,7 @@ from repro.serve import (
 )
 from repro.serve import protocol
 from repro.sources.fixture_server import FixtureServer
-from repro.sources.resilience import DEFAULT_RETRY, FaultSchedule
+from repro.sources.resilience import FaultSchedule
 from repro.sources.wrapper import SourceRegistry
 
 
